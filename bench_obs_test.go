@@ -80,7 +80,7 @@ func benchObsSweep(b *testing.B, mk func() *obs.Observer) {
 			b.Fatal(err)
 		}
 		pool := service.NewPool(0)
-		runner := &sweep.Runner{Eval: sweep.DirectEval(nil, pool), Workers: pool.Workers()}
+		runner := &sweep.Runner{Eval: sweep.DirectEvalScratch(nil, pool, nil), Workers: pool.Workers()}
 		ctx := context.Background()
 		o := mk()
 		tr := o.StartTrace("sweep")

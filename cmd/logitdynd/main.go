@@ -63,7 +63,6 @@ func main() {
 	slowReq := flag.Duration("slowreq", 5*time.Second, "log a warning for requests at least this slow (0 = never)")
 	traceRing := flag.Int("tracering", obs.DefaultRingSize, "recent traces retained for /v1/traces (0 = default)")
 	noObs := flag.Bool("noobs", false, "disable tracing and stage histograms entirely")
-	scratchMode := flag.String("scratch", "on", "per-worker scratch arenas for analysis working memory: on|off; never changes responses")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	flag.Parse()
 
@@ -108,10 +107,6 @@ func main() {
 	if *noObs {
 		observer = obs.Disabled()
 	}
-	if *scratchMode != "on" && *scratchMode != "off" {
-		fmt.Fprintf(os.Stderr, "logitdynd: invalid -scratch value %q (want \"on\" or \"off\")\n", *scratchMode)
-		os.Exit(2)
-	}
 	svc := service.New(service.Config{
 		CacheSize:       *cacheSize,
 		Workers:         *workers,
@@ -126,7 +121,6 @@ func main() {
 		Obs:             observer,
 		Logger:          logger,
 		SlowRequest:     *slowReq,
-		NoScratch:       *scratchMode == "off",
 	})
 	// Resume journaled sweeps before the listener opens: replayed jobs
 	// re-enter the serving path through the warm store, so a daemon killed

@@ -48,7 +48,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the simulation as JSON on stdout (the service wire format)")
 	spectralOut := flag.Bool("spectral", false, "also report λ*/t_rel of the chain via the selected backend")
 	backendFlag := flag.String("backend", "auto", "linear-algebra backend for -spectral: auto|dense|sparse|matfree")
-	scratchMode := flag.String("scratch", "on", "scratch arena for the -spectral working memory: on|off; never changes results")
 	flag.Parse()
 
 	g, err := s.Build()
@@ -67,25 +66,18 @@ func main() {
 	}
 	sp := d.Space()
 	start := make([]int, sp.Players())
-	var counts []int64
-	if *replicas == 1 {
-		// The historical single-trajectory stream: rng.New(seed) directly.
-		counts = d.Trajectory(start, *steps, rng.New(s.Seed))
-	} else {
-		// Replica r runs on stream Split(r); integer counts merge exactly,
-		// so -workers changes wall-clock time only.
-		counts = sim.SumCounts(*replicas, s.Seed, *workers, sp.Size(),
-			func(_ int, r *rng.RNG, acc []int64) {
-				d.TrajectoryInto(acc, start, *steps, r)
-			})
-	}
+	// Integer counts merge exactly, so -workers changes wall-clock time only.
+	counts := sim.ReplicaCounts(*replicas, s.Seed, *workers, sp.Size(),
+		func(_ int, r *rng.RNG, acc []int64) {
+			d.TrajectoryInto(acc, start, *steps, r)
+		})
 	emp := make([]float64, len(counts))
 	visits := float64(*replicas) * float64(*steps+1)
 	for i, c := range counts {
 		emp[i] = float64(c) / visits
 	}
 
-	gibbs, gerr := d.Gibbs()
+	gibbs, gerr := d.GibbsScratch(linalg.Serial, nil)
 	if *jsonOut {
 		doc := serialize.SimulationDoc{
 			Game:        s.Game,
@@ -124,13 +116,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "logitsim: %v\n", err)
 			os.Exit(2)
 		}
-		ar, err := scratch.FromFlag(*scratchMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "logitsim: %v\n", err)
-			os.Exit(2)
-		}
 		res, err := mixing.RelaxationSandwichScratch(d, b.Resolve(sp.Size(), core.DefaultMaxExactStates), mixing.DefaultEps, nil,
-			linalg.ParallelConfig{Workers: *workers}, ar)
+			linalg.ParallelConfig{Workers: *workers}, scratch.NewArena())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "logitsim: -spectral: %v\n", err)
 			os.Exit(1)

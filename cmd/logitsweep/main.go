@@ -64,7 +64,6 @@ func main() {
 	out := flag.String("o", "", "write the aggregate table to this file (default stdout)")
 	logFormat := flag.String("logformat", "text", "structured log format on stderr: text or json")
 	logLevel := flag.String("loglevel", "info", "log level: debug, info, warn or error")
-	scratchMode := flag.String("scratch", "on", "per-worker scratch arenas for analysis working memory: on|off; never changes reported numbers")
 	flag.Parse()
 
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -155,12 +154,8 @@ func main() {
 	// Interrupts cancel cleanly between points; completed points are
 	// already persisted, so rerunning the same command resumes.
 	pool := service.NewPool(*workers)
-	scratchPool, err := scratch.PoolFromFlag(*scratchMode)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	runner := &sweep.Runner{
-		Eval:      sweep.DirectEvalScratch(st, pool.ForClass(service.ClassSweep), scratchPool),
+		Eval:      sweep.DirectEvalScratch(st, pool.ForClass(service.ClassSweep), scratch.NewPool()),
 		Limits:    limits,
 		Workers:   pool.Workers(),
 		MaxPoints: *maxPoints,

@@ -120,7 +120,7 @@ func TestExperimentResumeAfterKill(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
 	r := &sweep.Runner{
-		Eval:    sweep.DirectEval(st, nil),
+		Eval:    sweep.DirectEvalScratch(st, nil, nil),
 		Workers: 1,
 		OnRow: func(sweep.Row) {
 			if done.Add(1) == 1 {

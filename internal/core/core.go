@@ -384,7 +384,7 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 	if maxT == 0 {
 		maxT = 1 << 62
 	}
-	res, err := mixing.ExactMixingTime(a.dyn, eps, maxT)
+	res, err := mixing.ExactMixingTimePar(a.dyn, eps, maxT, linalg.ParallelConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -393,11 +393,11 @@ func (a *Analyzer) MixingTime(eps float64, maxT int64) (int64, error) {
 
 // Spectrum returns the sorted eigenvalues (λ1 = 1 first) of the chain.
 func (a *Analyzer) Spectrum() ([]float64, error) {
-	pi, err := a.dyn.Stationary()
+	pi, err := a.dyn.StationaryPar(linalg.Serial)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := spectral.Decompose(a.dyn.TransitionDense(), pi)
+	dec, err := spectral.Decompose(a.dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +405,7 @@ func (a *Analyzer) Spectrum() ([]float64, error) {
 }
 
 // Gibbs returns the stationary Gibbs measure for potential games.
-func (a *Analyzer) Gibbs() ([]float64, error) { return a.dyn.Gibbs() }
+func (a *Analyzer) Gibbs() ([]float64, error) { return a.dyn.GibbsScratch(linalg.Serial, nil) }
 
 // Simulate runs t logit steps from start and returns the empirical
 // occupancy distribution over profile indices.

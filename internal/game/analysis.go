@@ -71,18 +71,11 @@ func IsPureNash(g Game, x []int, tol float64) bool {
 	return true
 }
 
-// PureNashEquilibria enumerates all pure Nash equilibria by profile index,
-// in increasing index order. It scans the whole profile space, serially —
-// like every compatibility wrapper here, it spawns no goroutines a caller
-// didn't budget for; pass a budget through PureNashEquilibriaPar instead.
-func PureNashEquilibria(g Game, tol float64) []int {
-	return PureNashEquilibriaPar(g, tol, linalg.Serial)
-}
-
-// PureNashEquilibriaPar is PureNashEquilibria under an explicit worker
-// budget: each chunk collects its equilibria locally, chunk lists sort by
-// starting index and concatenate, so the output is the same increasing
-// index list for every worker count.
+// PureNashEquilibriaPar enumerates all pure Nash equilibria by profile
+// index, in increasing index order, scanning the whole profile space under
+// the given worker budget: each chunk collects its equilibria locally,
+// chunk lists sort by starting index and concatenate, so the output is the
+// same increasing index list for every worker count.
 func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int {
 	sp := SpaceOf(g)
 	type chunk struct {
@@ -112,17 +105,13 @@ func PureNashEquilibriaPar(g Game, tol float64, par linalg.ParallelConfig) []int
 	return out
 }
 
-// IsDominantStrategy reports whether strategy s is (weakly) dominant for
+// IsDominantStrategyPar reports whether strategy s is (weakly) dominant for
 // player i: u_i(s, x_-i) >= u_i(s', x_-i) − tol for every s' and every
-// profile x of the other players, matching the paper's Section 4 definition.
-func IsDominantStrategy(g Game, i, s int, tol float64) bool {
-	return IsDominantStrategyPar(g, i, s, tol, linalg.Serial)
-}
-
-// IsDominantStrategyPar is IsDominantStrategy with the opponent-profile
-// scan sharded over the worker budget. The predicate is a pure conjunction,
-// so any chunking returns the same boolean; a shared flag lets all chunks
-// stop early once one counterexample is found.
+// profile x of the other players, matching the paper's Section 4
+// definition. The opponent-profile scan shards over the worker budget. The
+// predicate is a pure conjunction, so any chunking returns the same
+// boolean; a shared flag lets all chunks stop early once one
+// counterexample is found.
 func IsDominantStrategyPar(g Game, i, s int, tol float64, par linalg.ParallelConfig) bool {
 	sp := SpaceOf(g)
 	var refuted atomic.Bool
@@ -148,15 +137,10 @@ func IsDominantStrategyPar(g Game, i, s int, tol float64, par linalg.ParallelCon
 	return !refuted.Load()
 }
 
-// DominantProfile returns a profile in which every player plays a dominant
-// strategy, or ok=false if some player has none. When several strategies
-// are dominant for a player the lowest-numbered one is chosen.
-func DominantProfile(g Game, tol float64) (profile []int, ok bool) {
-	return DominantProfilePar(g, tol, linalg.Serial)
-}
-
-// DominantProfilePar is DominantProfile under an explicit worker budget
-// (the per-player scans shard over opponent profiles).
+// DominantProfilePar returns a profile in which every player plays a
+// dominant strategy, or ok=false if some player has none. When several
+// strategies are dominant for a player the lowest-numbered one is chosen.
+// The per-player scans shard over opponent profiles of the worker budget.
 func DominantProfilePar(g Game, tol float64, par linalg.ParallelConfig) (profile []int, ok bool) {
 	n := g.Players()
 	profile = make([]int, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 )
 
 func mustCoordination(t *testing.T, a, b, c, d float64) Coordination2x2 {
@@ -36,7 +37,7 @@ func TestBestResponsesTies(t *testing.T) {
 
 func TestPureNashCoordination(t *testing.T) {
 	g := mustCoordination(t, 3, 2, 0, 0)
-	ne := PureNashEquilibria(g, 1e-12)
+	ne := PureNashEquilibriaPar(g, 1e-12, linalg.Serial)
 	sp := SpaceOf(g)
 	want := map[int]bool{sp.Encode([]int{0, 0}): true, sp.Encode([]int{1, 1}): true}
 	if len(ne) != 2 {
@@ -64,7 +65,7 @@ func TestPureNashMatchingPennies(t *testing.T) {
 			g.SetUtilityIndexed(1, idx, 1)
 		}
 	}
-	if ne := PureNashEquilibria(g, 1e-12); len(ne) != 0 {
+	if ne := PureNashEquilibriaPar(g, 1e-12, linalg.Serial); len(ne) != 0 {
 		t.Fatalf("matching pennies NE = %v, want none", ne)
 	}
 	// And it must not be a potential game.
@@ -79,14 +80,14 @@ func TestDominantStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if !IsDominantStrategy(g, i, 0, 1e-12) {
+		if !IsDominantStrategyPar(g, i, 0, 1e-12, linalg.Serial) {
 			t.Errorf("strategy 0 must be dominant for player %d", i)
 		}
-		if IsDominantStrategy(g, i, 1, 1e-12) {
+		if IsDominantStrategyPar(g, i, 1, 1e-12, linalg.Serial) {
 			t.Errorf("strategy 1 must not be dominant for player %d", i)
 		}
 	}
-	prof, ok := DominantProfile(g, 1e-12)
+	prof, ok := DominantProfilePar(g, 1e-12, linalg.Serial)
 	if !ok {
 		t.Fatal("dominant profile must exist")
 	}
@@ -99,7 +100,7 @@ func TestDominantStrategies(t *testing.T) {
 
 func TestDominantProfileAbsentInCoordination(t *testing.T) {
 	g := mustCoordination(t, 3, 2, 0, 0)
-	if _, ok := DominantProfile(g, 1e-12); ok {
+	if _, ok := DominantProfilePar(g, 1e-12, linalg.Serial); ok {
 		t.Fatal("coordination game has no dominant profile")
 	}
 }
@@ -153,7 +154,7 @@ func TestVerifyPotentialFamilies(t *testing.T) {
 func TestVerifyPotentialCatchesLies(t *testing.T) {
 	// Install a wrong potential on a real game and check detection.
 	base := mustCoordination(t, 3, 2, 0, 0)
-	tg := Materialize(base)
+	tg := MaterializePar(base, linalg.Serial)
 	bad := make([]float64, tg.Space().Size())
 	bad[0] = 42
 	tg.SetPhiTable(bad)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/rng"
 )
 
@@ -137,7 +138,7 @@ func TestMaterializePreservesUtilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := Materialize(base)
+	tg := MaterializePar(base, linalg.Serial)
 	x := make([]int, 2)
 	sp := tg.Space()
 	for idx := 0; idx < sp.Size(); idx++ {
@@ -152,7 +153,7 @@ func TestMaterializePreservesUtilities(t *testing.T) {
 		}
 	}
 	if !tg.HasPhi() {
-		t.Fatal("Materialize must tabulate the potential")
+		t.Fatal("MaterializePar must tabulate the potential")
 	}
 }
 

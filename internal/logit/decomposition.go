@@ -41,7 +41,7 @@ func (d *Dynamics) SinglePlayerMatrix(i int, anchor int) *linalg.Dense {
 
 // SinglePlayerDecomposition reconstructs P as the average of all
 // single-player matrices and returns it, for comparison against
-// TransitionDense. Intended for small spaces (it allocates one dense matrix).
+// TransitionDensePar. Intended for small spaces (it allocates one dense matrix).
 func (d *Dynamics) SinglePlayerDecomposition() *linalg.Dense {
 	sp := d.space
 	size := sp.Size()
@@ -74,7 +74,7 @@ func (d *Dynamics) SinglePlayerDecomposition() *linalg.Dense {
 // product: its symmetrization D^{1/2} P^{(i,z)} D^{−1/2} has no eigenvalue
 // below −tol. This is the exact computation inside the Theorem 3.1 proof.
 func (d *Dynamics) CheckSinglePlayerPSD(tol float64) error {
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		return err
 	}

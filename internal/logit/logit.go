@@ -96,9 +96,10 @@ func (d *Dynamics) updateProbsAt(i int, y []int, dst []float64) []float64 {
 
 // RowGen generates sparse transition rows of the Eq. (3) chain one state at
 // a time, owning the per-row scratch. It is the single source of transition
-// rows for every backend: TransitionSparse tabulates rows through it and the
-// matrix-free operator calls it on the fly. A RowGen is not safe for
-// concurrent use; give each goroutine its own.
+// rows for every backend: TransitionSparsePar and TransitionCSRScratch
+// tabulate rows through it and the matrix-free operator calls it on the
+// fly. A RowGen is not safe for concurrent use; give each goroutine its
+// own.
 type RowGen struct {
 	d *Dynamics
 	x []int
@@ -142,16 +143,10 @@ func (g *RowGen) AppendRow(idx int, row []markov.Entry) []markov.Entry {
 	return append(row, markov.Entry{To: idx, P: self / float64(n)})
 }
 
-// TransitionSparse builds the Eq. (3) transition matrix in sparse row form:
-// each state has one entry per (player, strategy) pair, with the diagonal
-// accumulating the self-loop mass Σ_i σ_i(x_i | x)/n. This is the primary
-// representation; the dense and CSR forms are derived from it.
-func (d *Dynamics) TransitionSparse() *markov.Sparse {
-	return d.TransitionSparsePar(linalg.ParallelConfig{})
-}
-
-// TransitionSparsePar is TransitionSparse under an explicit worker budget,
-// so serving layers can bound the build's fan-out by their token pool. The
+// TransitionSparsePar builds the Eq. (3) transition matrix in sparse row
+// form: each state has one entry per (player, strategy) pair, with the
+// diagonal accumulating the self-loop mass Σ_i σ_i(x_i | x)/n. This is the
+// primary representation; the dense form is derived from it. The worker
 // budget never changes the rows, only how many goroutines fill them.
 func (d *Dynamics) TransitionSparsePar(par linalg.ParallelConfig) *markov.Sparse {
 	size := d.space.Size()
@@ -165,29 +160,17 @@ func (d *Dynamics) TransitionSparsePar(par linalg.ParallelConfig) *markov.Sparse
 	return s
 }
 
-// TransitionCSR builds the transition matrix in compressed-sparse-row form
-// under the default worker budget. See TransitionCSRPar.
-func (d *Dynamics) TransitionCSR() *linalg.CSR {
-	return d.TransitionCSRPar(linalg.ParallelConfig{})
-}
-
-// TransitionCSRPar builds the transition matrix in compressed-sparse-row
+// TransitionCSRScratch builds the transition matrix in compressed-sparse-row
 // form, the representation the sparse analysis backend iterates, using the
 // given worker budget for both construction and the returned matrix's
 // mat-vecs. Rows are written directly into width-padded CSR arrays in
 // parallel (every row has at most W = 1 + Σᵢ(|Sᵢ|−1) entries), so no
 // intermediate row-list — with its one slice header per state — is ever
 // materialized; a compaction pass runs only when some update probability
-// underflowed to zero.
-func (d *Dynamics) TransitionCSRPar(par linalg.ParallelConfig) *linalg.CSR {
-	return d.TransitionCSRScratch(par, nil)
-}
-
-// TransitionCSRScratch is TransitionCSRPar with the CSR arrays checked out
-// from the arena (nil allocates fresh, making it exactly TransitionCSRPar).
-// The returned matrix references arena memory, so it is owned by the
-// analysis that owns a and must not outlive it — the operator never
-// escapes into a report, which is what makes this safe.
+// underflowed to zero. The arrays are checked out from the arena (nil
+// allocates fresh); an arena-backed matrix is owned by the analysis that
+// owns a and must not outlive it — the operator never escapes into a
+// report, which is what makes this safe.
 func (d *Dynamics) TransitionCSRScratch(par linalg.ParallelConfig, a *scratch.Arena) *linalg.CSR {
 	size := d.space.Size()
 	w := 1
@@ -227,43 +210,26 @@ func (d *Dynamics) TransitionCSRScratch(par linalg.ParallelConfig, a *scratch.Ar
 	return linalg.NewCSR(size, size, rowPtr, col, val).WithParallel(par)
 }
 
-// TransitionDense materializes the Eq. (3) transition matrix densely — a
-// view over the sparse-first construction, for the exact eigendecomposition
-// path.
-func (d *Dynamics) TransitionDense() *linalg.Dense {
-	return d.TransitionSparse().Dense()
-}
-
-// TransitionDensePar is TransitionDense under an explicit worker budget
-// (threaded through the sparse-first construction).
+// TransitionDensePar materializes the Eq. (3) transition matrix densely — a
+// view over the sparse-first construction under the given worker budget,
+// for the exact eigendecomposition path.
 func (d *Dynamics) TransitionDensePar(par linalg.ParallelConfig) *linalg.Dense {
 	return d.TransitionSparsePar(par).Dense()
 }
 
-// Operator returns the transition matrix as a linalg.Operator in the
-// requested concrete backend under the default worker budget.
-func (d *Dynamics) Operator(b Backend) (linalg.Operator, error) {
-	return d.OperatorPar(b, linalg.ParallelConfig{})
-}
-
-// OperatorPar returns the transition matrix as a linalg.Operator in the
+// OperatorScratch returns the transition matrix as a linalg.Operator in the
 // requested concrete backend, carrying the given worker budget (auto must
 // be resolved by the caller first, since the dense threshold is a policy of
-// the analysis layer). The budget tunes how many workers the operator's
-// mat-vecs use; it never changes their results.
-func (d *Dynamics) OperatorPar(b Backend, par linalg.ParallelConfig) (linalg.Operator, error) {
-	return d.OperatorScratch(b, par, nil)
-}
-
-// OperatorScratch is OperatorPar with the sparse backend's CSR arrays
-// checked out from the arena (nil = fresh). The dense and matrix-free
-// backends carry no shape-sized construction arrays, so they are
-// unaffected. An arena-backed operator must not outlive the analysis that
-// owns a.
+// the analysis layer). The budget bounds the build and the operator's
+// mat-vecs; it never changes their results. The sparse backend's CSR
+// arrays are checked out from the arena (nil = fresh); the dense and
+// matrix-free backends carry no shape-sized construction arrays, so they
+// are unaffected. An arena-backed operator must not outlive the analysis
+// that owns a.
 func (d *Dynamics) OperatorScratch(b Backend, par linalg.ParallelConfig, a *scratch.Arena) (linalg.Operator, error) {
 	switch b {
 	case BackendDense:
-		return d.TransitionDense().WithParallel(par), nil
+		return d.TransitionDensePar(par).WithParallel(par), nil
 	case BackendSparse:
 		return d.TransitionCSRScratch(par, a), nil
 	case BackendMatFree:
@@ -272,24 +238,14 @@ func (d *Dynamics) OperatorScratch(b Backend, par linalg.ParallelConfig, a *scra
 	return nil, fmt.Errorf("logit: no concrete operator for backend %q", b)
 }
 
-// Gibbs returns the Gibbs measure π(x) ∝ exp(−β·Φ(x)) (Eq. 4) when the game
-// exposes an exact potential, computed with the minimum-potential shift so
-// large β cannot overflow. It errors for games without a potential. It runs
-// serially; callers holding a worker budget use GibbsPar.
-func (d *Dynamics) Gibbs() ([]float64, error) {
-	return d.GibbsPar(linalg.Serial)
-}
-
-// GibbsPar is Gibbs under an explicit worker budget. Potential tabulation
-// and exponentiation are element-wise parallel; the minimum is an exact
-// (order-independent) reduction and the normalizing sum accumulates over
-// fixed blocks, so the measure is bit-identical for every worker count.
-func (d *Dynamics) GibbsPar(par linalg.ParallelConfig) ([]float64, error) {
-	return d.GibbsScratch(par, nil)
-}
-
-// GibbsScratch is GibbsPar with the potential table checked out from the
-// arena (nil = fresh). The returned measure itself is always freshly
+// GibbsScratch returns the Gibbs measure π(x) ∝ exp(−β·Φ(x)) (Eq. 4) when
+// the game exposes an exact potential, computed with the minimum-potential
+// shift so large β cannot overflow. It errors for games without a
+// potential. Potential tabulation and exponentiation are element-wise
+// parallel over par; the minimum is an exact (order-independent) reduction
+// and the normalizing sum accumulates over fixed blocks, so the measure is
+// bit-identical for every worker count. The potential table is checked out
+// from the arena (nil = fresh); the returned measure is always freshly
 // allocated: it escapes into reports and caches, so it must survive the
 // arena's Reset.
 func (d *Dynamics) GibbsScratch(par linalg.ParallelConfig, a *scratch.Arena) ([]float64, error) {
@@ -333,21 +289,14 @@ func (d *Dynamics) GibbsScratch(par linalg.ParallelConfig, a *scratch.Arena) ([]
 	return pi, nil
 }
 
-// Stationary returns the stationary distribution: the Gibbs measure for
+// StationaryPar returns the stationary distribution: the Gibbs measure for
 // potential games, or the direct null-space solve of the transition matrix
-// otherwise (which requires a materializable profile space).
-func (d *Dynamics) Stationary() ([]float64, error) {
-	if pi, err := d.Gibbs(); err == nil {
-		return pi, nil
-	}
-	return markov.StationaryDirect(d.TransitionDense())
-}
-
-// StationaryPar is Stationary under an explicit worker budget for the
-// Gibbs sweep and the dense materialization of the fallback solve. As
-// everywhere in the parallel layer, the budget never changes the result.
+// otherwise (which requires a materializable profile space). The worker
+// budget covers the Gibbs sweep and the dense materialization of the
+// fallback solve; as everywhere in the parallel layer, it never changes the
+// result.
 func (d *Dynamics) StationaryPar(par linalg.ParallelConfig) ([]float64, error) {
-	if pi, err := d.GibbsPar(par); err == nil {
+	if pi, err := d.GibbsScratch(par, nil); err == nil {
 		return pi, nil
 	}
 	return markov.StationaryDirect(d.TransitionDensePar(par))
@@ -392,6 +341,22 @@ func (s *Stepper) Step(x []int, r *rng.RNG) int {
 	return i
 }
 
+// Advance runs k steps from profile x, whose flat index is idx, updating x
+// in place and adding every visited index — not the starting one — to
+// counts. It returns the final index. Chunked callers (the simulate
+// stream's snapshot cadence) call it once per chunk and continue from the
+// returned index: the RNG draws and the visits are exactly those of one
+// uninterrupted run.
+func (s *Stepper) Advance(counts []int64, x []int, idx, k int, r *rng.RNG) int {
+	sp := s.d.space
+	for ; k > 0; k-- {
+		i := s.Step(x, r)
+		idx = sp.WithDigit(idx, i, x[i])
+		counts[idx]++
+	}
+	return idx
+}
+
 // StepIndexed performs one logit update on a profile index.
 func (d *Dynamics) StepIndexed(idx int, r *rng.RNG) int {
 	x := d.space.Decode(idx, nil)
@@ -415,13 +380,8 @@ func (d *Dynamics) TrajectoryInto(counts []int64, start []int, t int, r *rng.RNG
 	if len(counts) != d.space.Size() {
 		panic("logit: TrajectoryInto counts size mismatch")
 	}
-	st := d.NewStepper()
 	x := append([]int(nil), start...)
 	idx := d.space.Encode(x)
 	counts[idx]++
-	for s := 0; s < t; s++ {
-		i := st.Step(x, r)
-		idx = d.space.WithDigit(idx, i, x[i])
-		counts[idx]++
-	}
+	d.NewStepper().Advance(counts, x, idx, t, r)
 }

@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 )
@@ -99,7 +100,7 @@ func TestTransitionIsStochastic(t *testing.T) {
 	for name, g := range games {
 		for _, beta := range []float64{0, 0.5, 2, 50} {
 			d := mustDyn(t, g, beta)
-			s := d.TransitionSparse()
+			s := d.TransitionSparsePar(linalg.ParallelConfig{})
 			if err := s.CheckStochastic(1e-12); err != nil {
 				t.Errorf("%s β=%g: %v", name, beta, err)
 			}
@@ -141,11 +142,11 @@ func TestGibbsIsStationary(t *testing.T) {
 	} {
 		for _, beta := range []float64{0, 0.3, 1, 4} {
 			d := mustDyn(t, g, beta)
-			pi, err := d.Gibbs()
+			pi, err := d.GibbsScratch(linalg.Serial, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			p := d.TransitionDense()
+			p := d.TransitionDensePar(linalg.ParallelConfig{})
 			next := make([]float64, len(pi))
 			p.VecMul(next, pi)
 			if tv := markov.TVDistance(pi, next); tv > 1e-12 {
@@ -160,11 +161,11 @@ func TestGibbsIsStationary(t *testing.T) {
 
 func TestGibbsMatchesDirectSolve(t *testing.T) {
 	d := mustDyn(t, coordination(t), 1.3)
-	gibbs, err := d.Gibbs()
+	gibbs, err := d.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := markov.StationaryDirect(d.TransitionDense())
+	direct, err := markov.StationaryDirect(d.TransitionDensePar(linalg.ParallelConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +188,15 @@ func TestGibbsRequiresPotential(t *testing.T) {
 		g.SetUtilityIndexed(1, idx, -v)
 	}
 	d := mustDyn(t, g, 1)
-	if _, err := d.Gibbs(); err == nil {
+	if _, err := d.GibbsScratch(linalg.Serial, nil); err == nil {
 		t.Fatal("Gibbs on a non-potential game must error")
 	}
-	// Stationary must fall back to the direct solve and still satisfy πP=π.
-	pi, err := d.Stationary()
+	// StationaryPar must fall back to the direct solve and still satisfy πP=π.
+	pi, err := d.StationaryPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	next := make([]float64, len(pi))
 	p.VecMul(next, pi)
 	if tv := markov.TVDistance(pi, next); tv > 1e-10 {
@@ -207,7 +208,7 @@ func TestGibbsLargeBetaConcentratesOnMinima(t *testing.T) {
 	// δ0 = 3 > δ1 = 2: (0,0) has strictly lower potential, so as β grows the
 	// Gibbs measure concentrates there (risk dominance, Blume 1993).
 	d := mustDyn(t, coordination(t), 20)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestGibbsLargeBetaConcentratesOnMinima(t *testing.T) {
 
 func TestGibbsBetaZeroUniform(t *testing.T) {
 	d := mustDyn(t, coordination(t), 0)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestStepMatchesTransitionEmpirically(t *testing.T) {
 	d := mustDyn(t, coordination(t), 1)
 	sp := d.Space()
 	start := sp.Encode([]int{0, 1})
-	p := d.TransitionDense()
+	p := d.TransitionDensePar(linalg.ParallelConfig{})
 	const trials = 200000
 	r := rng.New(99)
 	counts := make([]float64, sp.Size())
@@ -258,7 +259,7 @@ func TestTrajectoryOccupancyApproachesGibbs(t *testing.T) {
 	// Ergodic average over a long trajectory must approach the Gibbs
 	// measure (law of large numbers for Markov chains).
 	d := mustDyn(t, coordination(t), 0.8)
-	pi, err := d.Gibbs()
+	pi, err := d.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +289,39 @@ func TestStepIndexedConsistentWithStep(t *testing.T) {
 	}
 }
 
+// Advancing in uneven chunks must replay one uninterrupted trajectory: the
+// simulate stream's snapshot cadence relies on it.
+func TestStepperAdvanceChunksMatchTrajectory(t *testing.T) {
+	d := mustDyn(t, coordination(t), 0.7)
+	const steps = 1000
+	want := d.Trajectory([]int{1, 0}, steps, rng.New(3))
+	got := make([]int64, d.Space().Size())
+	x := []int{1, 0}
+	idx := d.Space().Encode(x)
+	got[idx]++
+	st, r := d.NewStepper(), rng.New(3)
+	for done := 0; done < steps; {
+		k := min(7, steps-done)
+		idx = st.Advance(got, x, idx, k, r)
+		done += k
+		if d.Space().Encode(x) != idx {
+			t.Fatalf("index %d out of step with profile %v after %d steps", idx, x, done)
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("chunked counts %v, want %v", got, want)
+		}
+	}
+}
+
 func BenchmarkTransitionSparseRing8(b *testing.B) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	d, _ := New(g, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.TransitionSparse()
+		d.TransitionSparsePar(linalg.ParallelConfig{})
 	}
 }
 

@@ -73,25 +73,20 @@ func StationaryPower(p *linalg.Dense, tol float64, maxIter int) ([]float64, erro
 	if err := CheckStochastic(p, 1e-9); err != nil {
 		return nil, err
 	}
-	return StationaryPowerOp(p, tol, maxIter)
-}
-
-// StationaryPowerOp runs the same power iteration against any transition
-// operator — dense, CSR, the row-list Sparse, or the matrix-free logit
-// operator — using only MatVecTrans (μ ← μP). The caller is responsible for
-// the operator being row-stochastic.
-func StationaryPowerOp(p linalg.Operator, tol float64, maxIter int) ([]float64, error) {
 	return StationaryPowerOpScratch(p, tol, maxIter, nil)
 }
 
-// StationaryPowerOpScratch is StationaryPowerOp with both iteration vectors
-// checked out from the arena (nil = fresh). The returned distribution is a
-// fresh copy — it escapes to the caller, so it must survive the arena's
-// Reset.
+// StationaryPowerOpScratch runs the same power iteration against any
+// transition operator — dense, CSR, the row-list Sparse, or the
+// matrix-free logit operator — using only MatVecTrans (μ ← μP). The caller
+// is responsible for the operator being row-stochastic. Both iteration
+// vectors are checked out from the arena (nil = fresh); the returned
+// distribution is a fresh copy — it escapes to the caller, so it must
+// survive the arena's Reset.
 func StationaryPowerOpScratch(p linalg.Operator, tol float64, maxIter int, a *scratch.Arena) ([]float64, error) {
 	n, cols := p.Dims()
 	if n != cols {
-		return nil, errors.New("markov: StationaryPowerOp needs a square operator")
+		return nil, errors.New("markov: StationaryPowerOpScratch needs a square operator")
 	}
 	mu := a.F64(n)
 	next := a.F64(n)

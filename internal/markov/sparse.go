@@ -142,7 +142,7 @@ func (s *Sparse) EvolveT(src []float64, t int) []float64 {
 
 // StationaryPower runs power iteration on the sparse chain.
 func (s *Sparse) StationaryPower(tol float64, maxIter int) ([]float64, error) {
-	mu, err := StationaryPowerOp(s, tol, maxIter)
+	mu, err := StationaryPowerOpScratch(s, tol, maxIter, nil)
 	if err != nil {
 		return nil, errors.New("markov: sparse power iteration did not converge")
 	}

@@ -59,9 +59,9 @@ func maxAbsDiff(a, b []float64) float64 {
 // backends returns the three concrete operators for the dynamics.
 func parityOperators(d *logit.Dynamics) map[string]linalg.Operator {
 	return map[string]linalg.Operator{
-		"dense":   d.TransitionDense(),
-		"sparse":  d.TransitionCSR(),
-		"rowlist": d.TransitionSparse(),
+		"dense":   d.TransitionDensePar(linalg.ParallelConfig{}),
+		"sparse":  d.TransitionCSRScratch(linalg.ParallelConfig{}, nil),
+		"rowlist": d.TransitionSparsePar(linalg.ParallelConfig{}),
 		"matfree": d.MatFree(),
 	}
 }
@@ -106,12 +106,12 @@ func TestBackendStationaryParity(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			direct, err := markov.StationaryDirect(d.TransitionDense())
+			direct, err := markov.StationaryDirect(d.TransitionDensePar(linalg.ParallelConfig{}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, op := range parityOperators(d) {
-				power, err := markov.StationaryPowerOp(op, 1e-14, 2_000_000)
+				power, err := markov.StationaryPowerOpScratch(op, 1e-14, 2_000_000, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -127,11 +127,11 @@ func TestBackendLambdaStarParity(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			pi, err := d.Stationary()
+			pi, err := d.StationaryPar(linalg.Serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := spectral.Decompose(d.TransitionDense(), pi)
+			dec, err := spectral.Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestBackendLambdaStarParity(t *testing.T) {
 				if name == "dense" {
 					continue
 				}
-				sym, err := spectral.NewSymOperator(op, pi)
+				sym, err := spectral.NewSymOperatorScratch(op, pi, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,12 +165,12 @@ func TestRelaxationSandwichBracketsExactMixing(t *testing.T) {
 	for _, fam := range parityFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			d := parityDyn(t, fam.s)
-			exact, err := ExactMixingTime(d, DefaultEps, 1<<40)
+			exact, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, backend := range []logit.Backend{logit.BackendSparse, logit.BackendMatFree} {
-				res, err := RelaxationSandwich(d, backend, DefaultEps, nil)
+				res, err := RelaxationSandwichScratch(d, backend, DefaultEps, nil, linalg.ParallelConfig{}, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", backend, err)
 				}

@@ -41,18 +41,13 @@ type Result struct {
 	Converged bool
 }
 
-// ExactMixingTime decomposes the logit chain of d and returns the exact
+// ExactMixingTimePar decomposes the logit chain of d and returns the exact
 // t_mix(eps), capped at maxT. The chain must be reversible (potential game,
-// or any game whose stationary distribution makes it reversible).
-func ExactMixingTime(d *logit.Dynamics, eps float64, maxT int64) (*Result, error) {
-	return ExactMixingTimePar(d, eps, maxT, linalg.ParallelConfig{})
-}
-
-// ExactMixingTimePar is ExactMixingTime under an explicit worker budget:
-// the transition-matrix build and the d(t) evaluation sweep fan out at
-// most par.Workers goroutines, so a serving layer's token pool governs the
-// dense exact route the same way it governs the Lanczos route. The budget
-// never changes any reported number — the matrix rows are filled at fixed
+// or any game whose stationary distribution makes it reversible). The
+// transition-matrix build and the d(t) evaluation sweep fan out at most
+// par.Workers goroutines, so a serving layer's token pool governs the dense
+// exact route the same way it governs the Lanczos route. The budget never
+// changes any reported number — the matrix rows are filled at fixed
 // positions and the worst-start TV distance is an exact max-merge.
 func ExactMixingTimePar(d *logit.Dynamics, eps float64, maxT int64, par linalg.ParallelConfig) (*Result, error) {
 	pi, err := d.StationaryPar(par)
@@ -93,7 +88,7 @@ const lanczosSeed = 0x1a9c205
 // Krylov basis, so this cap also bounds the k·N basis memory.
 const lanczosMaxIter = 256
 
-// RelaxationSandwich measures λ* and the relaxation time through the
+// RelaxationSandwichScratch measures λ* and the relaxation time through the
 // requested backend without ever materializing a dense matrix (unless the
 // dense backend itself is requested), and converts t_rel into the Theorem
 // 2.3 mixing-time sandwich. The chain must be reversible with a
@@ -102,27 +97,18 @@ const lanczosMaxIter = 256
 // and the Gibbs measure available without a dense solve. A caller that
 // already holds the Gibbs measure passes it as pi (it is not re-verified);
 // pi == nil computes it here.
-func RelaxationSandwich(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64) (*Result, error) {
-	return RelaxationSandwichPar(d, backend, eps, pi, linalg.ParallelConfig{})
-}
-
-// RelaxationSandwichPar is RelaxationSandwich under an explicit worker
-// budget: operator construction, the Lanczos mat-vecs and the
-// re-orthogonalization sweep all run on par. The budget never changes the
-// measured spectrum — every parallel reduction underneath uses fixed block
-// boundaries — so reports are bit-identical for every worker count.
-func RelaxationSandwichPar(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64, par linalg.ParallelConfig) (*Result, error) {
-	return RelaxationSandwichScratch(d, backend, eps, pi, par, nil)
-}
-
-// RelaxationSandwichScratch is RelaxationSandwichPar with the sparse
-// operator's CSR arrays, the symmetrized operator's workspace and the whole
-// Lanczos basis checked out from the arena (nil = fresh). A sweep that
-// hands the same arena to consecutive same-shape points reuses all of it.
+//
+// Operator construction, the Lanczos mat-vecs and the re-orthogonalization
+// sweep all run on par. The budget never changes the measured spectrum —
+// every parallel reduction underneath uses fixed block boundaries — so
+// reports are bit-identical for every worker count. The sparse operator's
+// CSR arrays, the symmetrized operator's workspace and the whole Lanczos
+// basis are checked out from the arena (nil = fresh); a sweep that hands
+// the same arena to consecutive same-shape points reuses all of it.
 // Nothing arena-backed escapes into the returned Result.
 func RelaxationSandwichScratch(d *logit.Dynamics, backend logit.Backend, eps float64, pi []float64, par linalg.ParallelConfig, a *scratch.Arena) (*Result, error) {
 	if backend == logit.BackendAuto || backend == "" {
-		return nil, fmt.Errorf("mixing: RelaxationSandwich needs a concrete backend")
+		return nil, fmt.Errorf("mixing: RelaxationSandwichScratch needs a concrete backend")
 	}
 	if pi == nil {
 		var err error
@@ -175,17 +161,13 @@ func RelaxationSandwichScratch(d *logit.Dynamics, backend logit.Backend, eps flo
 	}, nil
 }
 
-// EvolutionMixingTime measures t_mix(eps) by brute-force sparse evolution of
-// a point mass from every starting state, advancing all states in lockstep
-// until the worst TV distance drops to eps. It is O(maxT·|S|·nnz) and exists
-// as an independent cross-check of the spectral route on small chains.
-func EvolutionMixingTime(d *logit.Dynamics, eps float64, maxT int) (int64, error) {
-	return EvolutionMixingTimePar(d, eps, maxT, linalg.ParallelConfig{})
-}
-
-// EvolutionMixingTimePar is EvolutionMixingTime under an explicit worker
-// budget for the per-start evolution sweep (results are worker-invariant:
-// each start's distribution evolves in its own fixed slot).
+// EvolutionMixingTimePar measures t_mix(eps) by brute-force sparse
+// evolution of a point mass from every starting state, advancing all states
+// in lockstep until the worst TV distance drops to eps. It is
+// O(maxT·|S|·nnz) and exists as an independent cross-check of the spectral
+// route on small chains. The per-start evolution sweep runs on par (results
+// are worker-invariant: each start's distribution evolves in its own fixed
+// slot).
 func EvolutionMixingTimePar(d *logit.Dynamics, eps float64, maxT int, par linalg.ParallelConfig) (int64, error) {
 	pi, err := d.StationaryPar(par)
 	if err != nil {
@@ -276,19 +258,11 @@ type BoundsReport struct {
 	Thm42Upper         float64
 }
 
-// Report computes the bounds report for a potential game at inverse noise β.
-func Report(p game.Potential, beta, eps float64) (*BoundsReport, error) {
-	st, err := AnalyzePotential(p)
-	if err != nil {
-		return nil, err
-	}
-	return ReportFromStats(p, beta, eps, st)
-}
-
-// ReportFromStats is Report for a caller that already computed the
-// potential statistics: it evaluates the closed-form bounds without
-// re-tabulating Φ. The serial and parallel analyses produce identical
-// stats, so a report built from either is the same report.
+// ReportFromStats computes the bounds report for a potential game at
+// inverse noise β from its potential statistics: it evaluates the
+// closed-form bounds without re-tabulating Φ. The serial and parallel
+// analyses produce identical stats, so a report built from either is the
+// same report.
 func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*BoundsReport, error) {
 	sp := game.SpaceOf(p)
 	n, m := sp.Players(), sp.MaxStrategies()
@@ -303,7 +277,7 @@ func ReportFromStats(p game.Potential, beta, eps float64, st *PotentialStats) (*
 		r.Thm36Applies = true
 		r.Thm36Upper = Theorem36Upper(n, smallBetaC, eps)
 	}
-	if _, ok := game.DominantProfile(p, 1e-12); ok {
+	if _, ok := game.DominantProfilePar(p, 1e-12, linalg.Serial); ok {
 		r.HasDominantProfile = true
 		r.Thm42Upper = Theorem42Upper(n, m)
 	}

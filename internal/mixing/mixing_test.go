@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 )
 
@@ -26,11 +27,11 @@ func TestExactMixingTimeAgreesWithEvolution(t *testing.T) {
 	// The two independent measurement routes must agree exactly.
 	for _, beta := range []float64{0, 0.5, 1.2} {
 		d := coordDyn(t, beta)
-		spec, err := ExactMixingTime(d, DefaultEps, 1<<40)
+		spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evo, err := EvolutionMixingTime(d, DefaultEps, 100000)
+		evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +48,11 @@ func TestExactMixingTimeRingGame(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0.5)
-	spec, err := ExactMixingTime(d, DefaultEps, 1<<40)
+	spec, err := ExactMixingTimePar(d, DefaultEps, 1<<40, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evo, err := EvolutionMixingTime(d, DefaultEps, 100000)
+	evo, err := EvolutionMixingTimePar(d, DefaultEps, 100000, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestMixingTimeIncreasesWithBeta(t *testing.T) {
 	prev := int64(0)
 	for _, beta := range []float64{0, 1, 2, 3} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTime(d, DefaultEps, 1<<50)
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestMeasuredMixingUnderTheorem34(t *testing.T) {
 	}
 	for _, beta := range []float64{0, 0.5, 1, 2} {
 		d := coordDyn(t, beta)
-		res, err := ExactMixingTime(d, DefaultEps, 1<<50)
+		res, err := ExactMixingTimePar(d, DefaultEps, 1<<50, linalg.ParallelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +128,23 @@ func TestGrowthExponentErrors(t *testing.T) {
 	}
 }
 
-func TestReportCoordination(t *testing.T) {
-	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
-	r, err := Report(base, 1, DefaultEps)
+// report evaluates the bounds report at β from freshly analyzed stats.
+func report(t *testing.T, p game.Potential, beta float64) *BoundsReport {
+	t.Helper()
+	st, err := AnalyzePotential(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, err := ReportFromStats(p, beta, DefaultEps, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestReportCoordination(t *testing.T) {
+	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
+	r := report(t, base, 1)
 	if r.Stats.DeltaPhi != 3 {
 		t.Errorf("ΔΦ = %g", r.Stats.DeltaPhi)
 	}
@@ -146,10 +158,7 @@ func TestReportCoordination(t *testing.T) {
 	if r.Thm36Applies {
 		t.Error("Thm 3.6 must not apply at β=1")
 	}
-	small, err := Report(base, 0.05, DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := report(t, base, 0.05)
 	if !small.Thm36Applies {
 		t.Error("Thm 3.6 must apply at β=0.05")
 	}
@@ -157,10 +166,7 @@ func TestReportCoordination(t *testing.T) {
 
 func TestReportDominantGame(t *testing.T) {
 	g, _ := game.NewDominantDiagonal(3, 2)
-	r, err := Report(g, 5, DefaultEps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t, g, 5)
 	if !r.HasDominantProfile {
 		t.Error("DominantDiagonal must report a dominant profile")
 	}
@@ -214,7 +220,7 @@ func TestBoundFunctionsSanity(t *testing.T) {
 
 func TestEvolutionMixingTimeTimeout(t *testing.T) {
 	d := coordDyn(t, 3)
-	if _, err := EvolutionMixingTime(d, DefaultEps, 2); err == nil {
+	if _, err := EvolutionMixingTimePar(d, DefaultEps, 2, linalg.ParallelConfig{}); err == nil {
 		t.Fatal("tiny maxT must error")
 	}
 }
@@ -227,7 +233,7 @@ func TestEvolutionMixingTimeZeroForTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := logit.New(g, 0)
-	tm, err := EvolutionMixingTime(d, DefaultEps, 10)
+	tm, err := EvolutionMixingTimePar(d, DefaultEps, 10, linalg.ParallelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package mixing
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -45,6 +47,43 @@ func TestExactMixingTimeWorkerInvariant(t *testing.T) {
 			if !reflect.DeepEqual(one, eight) {
 				t.Fatalf("workers=1 and workers=8 disagree:\n%+v\nvs\n%+v", one, eight)
 			}
+			// The dense operator build and the welfare report's own π
+			// solve run on the caller's budget too.
+			dense := func(workers int) []float64 {
+				op, err := d.OperatorScratch(logit.BackendDense,
+					linalg.ParallelConfig{Workers: workers, MinRows: 1}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return op.(*linalg.Dense).Data
+			}
+			if a, b := dense(1), dense(8); !bitsEqual(a, b) {
+				t.Fatal("dense operator differs between workers=1 and workers=8")
+			}
+			welfare := func(workers int) string {
+				rep, err := StationaryWelfarePar(d, nil, linalg.ParallelConfig{Workers: workers, MinRows: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%x %x %x %v", math.Float64bits(rep.Expected),
+					math.Float64bits(rep.Optimum), math.Float64bits(rep.WorstNash), rep.OptProfile)
+			}
+			if a, b := welfare(1), welfare(8); a != b {
+				t.Fatalf("welfare report differs between workers=1 and workers=8:\n%s\nvs\n%s", a, b)
+			}
 		})
 	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

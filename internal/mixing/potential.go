@@ -35,26 +35,21 @@ type PotentialStats struct {
 	Zeta float64
 }
 
-// AnalyzePotential tabulates Φ over the profile space and computes the
-// statistics, serially. The profile space must be materializable; callers
-// holding a worker budget use AnalyzePotentialPar.
+// AnalyzePotential is AnalyzePotentialScratch serially, with a fresh,
+// escaping Φ table.
 func AnalyzePotential(p game.Potential) (*PotentialStats, error) {
-	return AnalyzePotentialPar(p, linalg.Serial)
+	return AnalyzePotentialScratch(p, linalg.Serial, nil, true)
 }
 
-// AnalyzePotentialPar is AnalyzePotential under an explicit worker budget:
-// the Φ tabulation and the Hamming-edge scan shard over profile ranges.
-// Extremal statistics combine with exact (order-independent) min/max, so
-// every worker count produces the same values.
-func AnalyzePotentialPar(p game.Potential, par linalg.ParallelConfig) (*PotentialStats, error) {
-	return AnalyzePotentialScratch(p, par, nil, true)
-}
-
-// AnalyzePotentialScratch is AnalyzePotentialPar with the analysis
-// temporaries checked out from the arena (nil = fresh). phiEscapes declares
-// whether the caller lets st.Phi outlive this analysis (small-game reports
-// keep the table; large-game reports elide it) — an escaping table is
-// always freshly allocated so it survives the arena's Reset.
+// AnalyzePotentialScratch tabulates Φ over the profile space and computes
+// the statistics. The profile space must be materializable. The Φ
+// tabulation and the Hamming-edge scan shard over profile ranges of par;
+// extremal statistics combine with exact (order-independent) min/max, so
+// every worker count produces the same values. The analysis temporaries
+// are checked out from the arena (nil = fresh). phiEscapes declares whether
+// the caller lets st.Phi outlive this analysis (small-game reports keep the
+// table; large-game reports elide it) — an escaping table is always freshly
+// allocated so it survives the arena's Reset.
 func AnalyzePotentialScratch(p game.Potential, par linalg.ParallelConfig, a *scratch.Arena, phiEscapes bool) (*PotentialStats, error) {
 	sp := game.SpaceOf(p)
 	size := sp.Size()
@@ -74,18 +69,8 @@ func AnalyzePotentialScratch(p game.Potential, par linalg.ParallelConfig, a *scr
 	return AnalyzePhiTableScratch(sp, phi, par, a)
 }
 
-// AnalyzePhiTable computes the statistics from an explicit potential
-// table, serially.
-func AnalyzePhiTable(sp *game.Space, phi []float64) (*PotentialStats, error) {
-	return AnalyzePhiTablePar(sp, phi, linalg.Serial)
-}
-
-// AnalyzePhiTablePar is AnalyzePhiTable under an explicit worker budget.
-func AnalyzePhiTablePar(sp *game.Space, phi []float64, par linalg.ParallelConfig) (*PotentialStats, error) {
-	return AnalyzePhiTableScratch(sp, phi, par, nil)
-}
-
-// AnalyzePhiTableScratch is AnalyzePhiTablePar with the ζ scan's
+// AnalyzePhiTableScratch computes the statistics from an explicit
+// potential table under the given worker budget, with the ζ scan's
 // size-proportional temporaries (merge order, union-find state) checked out
 // from the arena (nil = fresh). The returned stats reference phi, whose
 // ownership stays with the caller.

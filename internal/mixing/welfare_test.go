@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 )
 
@@ -23,7 +24,7 @@ func TestStationaryWelfareLimits(t *testing.T) {
 	// β = 0: uniform over the 4 profiles → E[SW] = (6+2·0+4)/4 = 2.5.
 	g, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d0, _ := logit.New(g, 0)
-	rep, err := StationaryWelfare(d0, nil)
+	rep, err := StationaryWelfarePar(d0, nil, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestStationaryWelfareLimits(t *testing.T) {
 	// Large β: the Gibbs measure sits on the potential minimizer (0,0),
 	// which here is also the welfare optimum.
 	dInf, _ := logit.New(g, 25)
-	repInf, err := StationaryWelfare(dInf, nil)
+	repInf, err := StationaryWelfarePar(dInf, nil, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStationaryWelfareMonotoneInBetaForAlignedGame(t *testing.T) {
 	prev := math.Inf(-1)
 	for _, beta := range []float64{0, 0.5, 1, 2, 4} {
 		d, _ := logit.New(g, beta)
-		rep, err := StationaryWelfare(d, nil)
+		rep, err := StationaryWelfarePar(d, nil, linalg.Serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestStationaryWelfareNoNash(t *testing.T) {
 		g.SetUtilityIndexed(1, idx, -v)
 	}
 	d, _ := logit.New(g, 0.7)
-	rep, err := StationaryWelfare(d, nil)
+	rep, err := StationaryWelfarePar(d, nil, linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

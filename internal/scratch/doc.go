@@ -21,10 +21,11 @@
 //   - Reset/Release recycles every checkout at once. There is no per-slice
 //     free; the unit of reuse is the whole analysis.
 //   - Every entry point is nil-safe: a nil *Arena allocates fresh slices
-//     and a nil *Pool hands out nil arenas, so "-scratch=off" is simply the
-//     absence of an arena and the computed bits are identical either way.
-//     Reuse never changes results — checkouts are returned zeroed, exactly
-//     like make.
+//     and a nil *Pool hands out nil arenas. The CLIs and the daemon always
+//     run with arenas; a nil arena is the library default and the
+//     reference the scratch-invariance tests compare against, and the
+//     computed bits are identical either way. Reuse never changes results
+//     — checkouts are returned zeroed, exactly like make.
 //
 // Shape keying is by slice length: a sweep over points of identical
 // (profiles, Lanczos block, maxIter) shape re-checks out the same

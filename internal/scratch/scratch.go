@@ -1,36 +1,9 @@
 package scratch
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
-
-// FromFlag interprets a CLI -scratch flag value for one-shot tools: "on"
-// (or empty) returns a fresh arena, "off" returns nil — which every
-// consumer treats as "allocate fresh". Any other value is an error.
-func FromFlag(mode string) (*Arena, error) {
-	switch mode {
-	case "", "on":
-		return NewArena(), nil
-	case "off":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("scratch: invalid -scratch value %q (want \"on\" or \"off\")", mode)
-}
-
-// PoolFromFlag is FromFlag for serving/sweeping tools that hand arenas out
-// per worker token: "on" returns a pool, "off" returns nil (nil pools hand
-// out nil arenas).
-func PoolFromFlag(mode string) (*Pool, error) {
-	switch mode {
-	case "", "on":
-		return NewPool(), nil
-	case "off":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("scratch: invalid -scratch value %q (want \"on\" or \"off\")", mode)
-}
 
 // counters aggregates checkout statistics across every arena that shares
 // them (all arenas of one Pool, or one standalone arena). All fields are
@@ -54,7 +27,8 @@ type counters struct {
 // An Arena is NOT safe for concurrent use — it is owned by one worker
 // token / one analysis at a time (see the package doc for the ownership
 // rules). All methods are nil-safe: a nil Arena allocates fresh slices and
-// Reset is a no-op, which is how "-scratch=off" is spelled.
+// Reset is a no-op — the reference the scratch-invariance tests compare
+// arena-backed runs against.
 type Arena struct {
 	freeF64  map[int][][]float64
 	freeInt  map[int][][]int

@@ -88,8 +88,8 @@ func TestArenaByteAccounting(t *testing.T) {
 	}
 }
 
-// Nil arenas and nil pools are the spelled-out "-scratch=off": every method
-// must behave exactly like fresh allocation.
+// Nil arenas and nil pools are the fresh-allocation reference: every method
+// must behave exactly like make.
 func TestNilSafety(t *testing.T) {
 	var a *Arena
 	f := a.F64(4)
@@ -111,27 +111,6 @@ func TestNilSafety(t *testing.T) {
 	p.Release(nil) // must not panic
 	if m := p.Metrics(); m != (Metrics{}) {
 		t.Fatalf("nil pool metrics = %+v", m)
-	}
-}
-
-func TestFromFlag(t *testing.T) {
-	if a, err := FromFlag("on"); err != nil || a == nil {
-		t.Fatalf("on: %v %v", a, err)
-	}
-	if a, err := FromFlag("off"); err != nil || a != nil {
-		t.Fatalf("off: %v %v", a, err)
-	}
-	if _, err := FromFlag("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if p, err := PoolFromFlag("on"); err != nil || p == nil {
-		t.Fatalf("pool on: %v %v", p, err)
-	}
-	if p, err := PoolFromFlag("off"); err != nil || p != nil {
-		t.Fatalf("pool off: %v %v", p, err)
-	}
-	if _, err := PoolFromFlag("nope"); err == nil {
-		t.Fatal("bogus pool mode accepted")
 	}
 }
 

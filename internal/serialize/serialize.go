@@ -12,6 +12,7 @@ import (
 	"io"
 
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 )
 
 // Version tags the on-disk format.
@@ -33,7 +34,7 @@ type GameDoc struct {
 // NewGameDoc materializes g (tabulating its potential if it exposes one)
 // into its wire document.
 func NewGameDoc(g game.Game, name string) GameDoc {
-	t := game.Materialize(g)
+	t := game.MaterializePar(g, linalg.Serial)
 	sp := t.Space()
 	doc := GameDoc{
 		Version: Version,

@@ -217,7 +217,7 @@ func (p *Pool) TryExtraClass(class Class, max int) (got int, release func()) {
 }
 
 // ForClass returns a TokenPool-shaped view of the pool bound to one
-// priority class — what sweep evaluators (sweep.DirectEval, the
+// priority class — what sweep evaluators (sweep.DirectEvalScratch, the
 // experiment executor) plug in so every point they run acquires at sweep
 // priority.
 func (p *Pool) ForClass(class Class) *ClassPool { return &ClassPool{p: p, class: class} }

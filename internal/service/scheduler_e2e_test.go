@@ -287,7 +287,7 @@ func TestTypedNilServicePoolDoesNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &sweep.Runner{Eval: sweep.DirectEval(nil, p), Workers: 2}
+	r := &sweep.Runner{Eval: sweep.DirectEvalScratch(nil, p, nil), Workers: 2}
 	res, stats, err := r.Run(t.Context(), grid)
 	if err != nil {
 		t.Fatal(err)

@@ -96,11 +96,6 @@ type Config struct {
 	// a fresh enabled observer with the default trace-ring size. Pass
 	// obs.Disabled() to turn instrumentation off entirely.
 	Obs *obs.Observer
-	// NoScratch disables the per-worker scratch arenas: every analysis
-	// allocates its working memory fresh, exactly as if the arena layer did
-	// not exist. Reports are bit-identical either way (the arenas zero
-	// every checkout); this is purely an escape hatch for memory debugging.
-	NoScratch bool
 	// Logger receives structured request/job logs; nil discards them.
 	Logger *slog.Logger
 	// SlowRequest, when > 0, logs a warning for any request that takes at
@@ -139,8 +134,7 @@ type Service struct {
 	cache *Cache
 	pool  *Pool
 	// scratch hands each analysis a per-worker arena alongside its Run
-	// token; nil (Config.NoScratch) hands out nil arenas, i.e. fresh
-	// allocations everywhere.
+	// token.
 	scratch *scratch.Pool
 	start   time.Time
 
@@ -225,15 +219,11 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request) bool {
 // New builds a Service from the config.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	var sp *scratch.Pool
-	if !cfg.NoScratch {
-		sp = scratch.NewPool()
-	}
 	return &Service{
 		cfg:     cfg,
 		cache:   NewCache(cfg.CacheSize),
 		pool:    NewPool(cfg.Workers),
-		scratch: sp,
+		scratch: scratch.NewPool(),
 		start:   time.Now(),
 		sweeps:  make(map[string]*sweepJob),
 	}
@@ -555,7 +545,7 @@ func (s *Service) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeR
 	// Materialize once and analyze the table, so the digest and the
 	// analysis don't each re-evaluate every lazy utility.
 	table := s.materialize(ctx, g)
-	return s.analyzeBuilt(ctx, table, GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
+	return s.analyzeBuilt(ctx, table, store.GameDigest(table), name, req.Beta, req.Eps, req.MaxT, req.Backend)
 }
 
 // borrowFor sizes and takes an extra-token loan for a task with n
@@ -625,7 +615,7 @@ func (s *Service) analyzeBuiltTier(ctx context.Context, g game.Game, digest [32]
 	// The cache key is derived before the worker budget is known: the
 	// budget never changes the report (linalg's parallel reductions use
 	// fixed block boundaries), so Parallel must not split cache slots.
-	key := KeyFrom(digest, beta, opts)
+	key := store.KeyFrom(digest, beta, opts)
 	// fromStore/missed are written at most once, by the one goroutine
 	// singleflight lets into the miss function (Do runs it inline), and
 	// read only after Do returns.
@@ -794,7 +784,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		table := s.materialize(r.Context(), g)
-		digest := GameDigest(table)
+		digest := store.GameDigest(table)
 		results = sim.Map(req.Betas, 0, s.pool.Workers(), func(_ int, beta float64, _ *rng.RNG) BatchItemResult {
 			resp, err := s.analyzeBuilt(r.Context(), table, digest, name, beta, req.Eps, req.MaxT, req.Backend)
 			if err != nil {
@@ -934,18 +924,10 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (*serialize
 		extra, release := s.pool.TryExtraClass(classFrom(ctx), min(s.pool.Workers()-1, p.replicas-1))
 		defer release()
 		par := linalg.ParallelConfig{Workers: 1 + extra}
-		var counts []int64
-		if p.replicas == 1 {
-			// The historical single-trajectory stream (rng.New(seed)
-			// directly, matching logitsim and pre-replica requests), so
-			// legacy requests keep reproducing the same trajectory.
-			counts = p.d.Trajectory(p.start, p.steps, rng.New(p.seed))
-		} else {
-			counts = sim.SumCounts(p.replicas, p.seed, par.Workers, p.d.Space().Size(),
-				func(_ int, r *rng.RNG, acc []int64) {
-					p.d.TrajectoryInto(acc, p.start, p.steps, r)
-				})
-		}
+		counts := sim.ReplicaCounts(p.replicas, p.seed, par.Workers, p.d.Space().Size(),
+			func(_ int, r *rng.RNG, acc []int64) {
+				p.d.TrajectoryInto(acc, p.start, p.steps, r)
+			})
 		s.finishSimulationDoc(p, counts, par)
 	})
 	return p.doc, nil

@@ -23,6 +23,7 @@ import (
 	"logitdyn/internal/linalg"
 	"logitdyn/internal/obs"
 	"logitdyn/internal/rng"
+	"logitdyn/internal/sim"
 	"logitdyn/internal/sweep"
 )
 
@@ -279,13 +280,12 @@ func (s *Service) handleSimulateStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSimulationStream executes the simulation under a worker token,
-// emitting a snapshot every stride steps. The stepping reproduces the
-// batch path exactly — replica r on stream Split(r) of the base seed
-// (rng.New(seed) itself for the single-replica legacy stream), the start
-// profile counted once, one Stepper draw per step — and the counts
-// accumulate into one vector, which equals sim.SumCounts' merged total
-// because integer adds commute. The prepared document therefore finishes
-// byte-identical to the non-streaming endpoint's.
+// emitting a snapshot every stride steps. It runs the batch path's replica
+// rule (sim.ReplicaCounts) serially, so snapshots arrive in replica order,
+// and each replica advances the same Stepper in stride-sized chunks, so the
+// draws and visits are the batch trajectory's. Integer counts merge
+// exactly, so the prepared document finishes byte-identical to the
+// non-streaming endpoint's.
 func (s *Service) runSimulationStream(ctx context.Context, p *simPrep, stride int, snaps chan<- streamEvent) simStreamResult {
 	var res simStreamResult
 	s.pool.RunClassCtx(ctx, classFrom(ctx), func() {
@@ -293,9 +293,7 @@ func (s *Service) runSimulationStream(ctx context.Context, p *simPrep, stride in
 		defer endSim()
 		s.simulations.Add(1)
 		space := p.d.Space()
-		counts := make([]int64, space.Size())
 		x := make([]int, space.Players())
-		base := rng.New(p.seed)
 		stepper := p.d.NewStepper()
 		emit := func(replica, step, idx int) {
 			snap := SimSnapshotDoc{
@@ -308,28 +306,26 @@ func (s *Service) runSimulationStream(ctx context.Context, p *simPrep, stride in
 				res.dropped++
 			}
 		}
-		for replica := 0; replica < p.replicas; replica++ {
-			rg := base.Split(uint64(replica))
-			if p.replicas == 1 {
-				// The historical single-trajectory stream, matching
-				// POST /v1/simulate's legacy path.
-				rg = rng.New(p.seed)
+		counts := sim.ReplicaCounts(p.replicas, p.seed, 1, space.Size(), func(replica int, rg *rng.RNG, acc []int64) {
+			if res.err != nil {
+				return
 			}
 			copy(x, p.start)
 			idx := space.Encode(x)
-			counts[idx]++
-			for t := 1; t <= p.steps; t++ {
-				i := stepper.Step(x, rg)
-				idx = space.WithDigit(idx, i, x[i])
-				counts[idx]++
-				if t%stride == 0 || t == p.steps {
-					if err := ctx.Err(); err != nil {
-						res.err = err
-						return
-					}
-					emit(replica, t, idx)
+			acc[idx]++
+			for t := 0; t < p.steps; {
+				k := min(stride, p.steps-t)
+				idx = stepper.Advance(acc, x, idx, k, rg)
+				t += k
+				if err := ctx.Err(); err != nil {
+					res.err = err
+					return
 				}
+				emit(replica, t, idx)
 			}
+		})
+		if res.err != nil {
+			return
 		}
 		s.finishSimulationDoc(p, counts, linalg.ParallelConfig{Workers: 1})
 	})

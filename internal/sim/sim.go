@@ -152,6 +152,19 @@ func SumCounts(replicas int, seed uint64, workers, n int, run func(replica int, 
 	return total
 }
 
+// ReplicaCounts is the simulation endpoints' replica rule: a single
+// replica runs on rng.New(seed) itself — the historical single-trajectory
+// stream, so pre-replica requests keep reproducing the same trajectory —
+// and more replicas run as SumCounts over the Split(r) streams.
+func ReplicaCounts(replicas int, seed uint64, workers, n int, run func(replica int, r *rng.RNG, counts []int64)) []int64 {
+	if replicas == 1 {
+		counts := make([]int64, n)
+		run(0, rng.New(seed), counts)
+		return counts
+	}
+	return SumCounts(replicas, seed, workers, n, run)
+}
+
 // Grid2 builds the cross product of two parameter slices as (a, b) pairs in
 // row-major order, for sweeping (β, n)-style grids through Map.
 func Grid2[A, B any](as []A, bs []B) []Pair[A, B] {

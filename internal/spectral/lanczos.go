@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"logitdyn/internal/linalg"
-	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
 	"logitdyn/internal/scratch"
 )
@@ -41,21 +40,12 @@ type SymOperator struct {
 	arena *scratch.Arena
 }
 
-// SparseOperator is the historical name of SymOperator, kept for callers
-// that predate the multi-backend refactor.
-type SparseOperator = SymOperator
-
-// NewSymOperator validates inputs and precomputes sqrt(π). The operator p
-// must be the row-stochastic transition matrix of a chain reversible with
-// respect to π (potential games are, by the paper's Eq. 4).
-func NewSymOperator(p linalg.Operator, pi []float64) (*SymOperator, error) {
-	return NewSymOperatorScratch(p, pi, nil)
-}
-
-// NewSymOperatorScratch is NewSymOperator with sqrt(π) and the apply
-// scratch checked out from the arena (nil = fresh), and the arena installed
-// as the Lanczos workspace source. The operator must not outlive the
-// analysis that owns a.
+// NewSymOperatorScratch validates inputs and precomputes sqrt(π). The
+// operator p must be the row-stochastic transition matrix of a chain
+// reversible with respect to π (potential games are, by the paper's Eq. 4).
+// sqrt(π) and the apply scratch are checked out from the arena (nil =
+// fresh), and the arena is installed as the Lanczos workspace source. The
+// operator must not outlive the analysis that owns a.
 func NewSymOperatorScratch(p linalg.Operator, pi []float64, a *scratch.Arena) (*SymOperator, error) {
 	rows, cols := p.Dims()
 	if rows != cols || rows != len(pi) {
@@ -77,12 +67,6 @@ func NewSymOperatorScratch(p linalg.Operator, pi []float64, a *scratch.Arena) (*
 func (op *SymOperator) WithParallel(par linalg.ParallelConfig) *SymOperator {
 	op.par = par
 	return op
-}
-
-// NewSparseOperator wraps the row-list sparse chain, preserved as the
-// historical entry point of the Lanczos path.
-func NewSparseOperator(s *markov.Sparse, pi []float64) (*SymOperator, error) {
-	return NewSymOperator(s, pi)
 }
 
 // N returns the state count.

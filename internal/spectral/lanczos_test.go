@@ -6,6 +6,7 @@ import (
 
 	"logitdyn/internal/game"
 	"logitdyn/internal/graph"
+	"logitdyn/internal/linalg"
 	"logitdyn/internal/logit"
 	"logitdyn/internal/markov"
 	"logitdyn/internal/rng"
@@ -17,11 +18,11 @@ func lanczosForGame(t *testing.T, g game.Game, beta float64, iters int) (*Lanczo
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := d.Stationary()
+	pi, err := d.StationaryPar(linalg.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewSparseOperator(d.TransitionSparse(), pi)
+	op, err := NewSymOperatorScratch(d.TransitionSparsePar(linalg.ParallelConfig{}), pi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func TestLanczosMatchesDenseOnSmallChains(t *testing.T) {
 	} {
 		for _, beta := range []float64{0.3, 1, 2} {
 			res, d := lanczosForGame(t, g, beta, 200)
-			pi, _ := d.Stationary()
-			dec, err := Decompose(d.TransitionDense(), pi)
+			pi, _ := d.StationaryPar(linalg.Serial)
+			dec, err := Decompose(d.TransitionDensePar(linalg.ParallelConfig{}), pi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +62,8 @@ func TestLanczosMatchesDenseOnSmallChains(t *testing.T) {
 func TestLanczosOperatorFixesTopVector(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	d, _ := logit.New(base, 1)
-	pi, _ := d.Stationary()
-	op, err := NewSparseOperator(d.TransitionSparse(), pi)
+	pi, _ := d.StationaryPar(linalg.Serial)
+	op, err := NewSymOperatorScratch(d.TransitionSparsePar(linalg.ParallelConfig{}), pi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestLanczosEarlyTermination(t *testing.T) {
 	_ = base
 	s := sparseTwoState(a, b)
 	pi := []float64{b / (a + b), a / (a + b)}
-	op, err := NewSparseOperator(s, pi)
+	op, err := NewSymOperatorScratch(s, pi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func sparseTwoState(a, b float64) *markov.Sparse {
 
 func TestLanczosValidation(t *testing.T) {
 	s := sparseTwoState(0.3, 0.2)
-	if _, err := NewSparseOperator(s, []float64{0.5}); err == nil {
+	if _, err := NewSymOperatorScratch(s, []float64{0.5}, nil); err == nil {
 		t.Error("size mismatch must error")
 	}
-	if _, err := NewSparseOperator(s, []float64{1, 0}); err == nil {
+	if _, err := NewSymOperatorScratch(s, []float64{1, 0}, nil); err == nil {
 		t.Error("zero mass must error")
 	}
-	op, _ := NewSparseOperator(s, []float64{0.4, 0.6})
+	op, _ := NewSymOperatorScratch(s, []float64{0.4, 0.6}, nil)
 	if _, err := Lanczos(op, 1, 1e-12, rng.New(1)); err == nil {
 		t.Error("maxIter < 2 must error")
 	}

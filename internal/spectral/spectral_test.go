@@ -65,8 +65,8 @@ func TestDistanceMatchesBruteForce(t *testing.T) {
 	// every row of P^t.
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 0.8)
-	p := dyn.TransitionDense()
-	pi, err := dyn.Gibbs()
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
+	pi, err := dyn.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestDistanceMatchesBruteForce(t *testing.T) {
 func TestDistanceFromMatchesBruteForce(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 1.1)
-	p := dyn.TransitionDense()
-	pi, _ := dyn.Gibbs()
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
+	pi, _ := dyn.GibbsScratch(linalg.Serial, nil)
 	dec, err := Decompose(p, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +129,11 @@ func TestDistanceMonotoneNonIncreasing(t *testing.T) {
 
 func mustDecompose(t *testing.T, dyn *logit.Dynamics) *Decomposition {
 	t.Helper()
-	pi, err := dyn.Gibbs()
+	pi, err := dyn.GibbsScratch(linalg.Serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompose(dyn.TransitionDense(), pi)
+	dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func BenchmarkDistanceRing6(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(6), base)
 	dyn, _ := logit.New(g, 1)
-	pi, _ := dyn.Gibbs()
-	dec, err := Decompose(dyn.TransitionDense(), pi)
+	pi, _ := dyn.GibbsScratch(linalg.Serial, nil)
+	dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,8 +278,8 @@ func BenchmarkDecomposeRing8(b *testing.B) {
 	base, _ := game.NewCoordination2x2(2, 2, 0, 0)
 	g, _ := game.NewGraphical(graph.Ring(8), base)
 	dyn, _ := logit.New(g, 1)
-	pi, _ := dyn.Gibbs()
-	p := dyn.TransitionDense()
+	pi, _ := dyn.GibbsScratch(linalg.Serial, nil)
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(p, pi); err != nil {
@@ -291,8 +291,8 @@ func BenchmarkDecomposeRing8(b *testing.B) {
 func TestDistributionAtMatchesEvolution(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 0.9)
-	p := dyn.TransitionDense()
-	pi, _ := dyn.Gibbs()
+	p := dyn.TransitionDensePar(linalg.ParallelConfig{})
+	pi, _ := dyn.GibbsScratch(linalg.Serial, nil)
 	dec, err := Decompose(p, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +313,8 @@ func TestDistributionAtMatchesEvolution(t *testing.T) {
 func TestDistributionAtLargeTimeIsStationary(t *testing.T) {
 	base, _ := game.NewCoordination2x2(3, 2, 0, 0)
 	dyn, _ := logit.New(base, 1.2)
-	pi, _ := dyn.Gibbs()
-	dec, err := Decompose(dyn.TransitionDense(), pi)
+	pi, _ := dyn.GibbsScratch(linalg.Serial, nil)
+	dec, err := Decompose(dyn.TransitionDensePar(linalg.ParallelConfig{}), pi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"logitdyn/internal/core"
 	"logitdyn/internal/game"
+	"logitdyn/internal/linalg"
 )
 
 // hashVersion tags the key derivation; bump it whenever the hashed content
@@ -54,7 +55,7 @@ func (hs *hasher) f64(v float64) { hs.u64(canonBits(v)) }
 func GameDigest(g game.Game) [32]byte {
 	t, ok := g.(*game.TableGame)
 	if !ok {
-		t = game.Materialize(g)
+		t = game.MaterializePar(g, linalg.Serial)
 	}
 	sp := t.Space()
 

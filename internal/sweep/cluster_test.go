@@ -32,7 +32,7 @@ func TestSweepTableByteIdenticalAcrossShardLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	runRing := func() (*Result, RunStats) {
-		r := &Runner{Eval: DirectEval(ring, nil), Workers: 4}
+		r := &Runner{Eval: DirectEvalScratch(ring, nil, nil), Workers: 4}
 		res, stats, err := r.Run(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSweepTableByteIdenticalAcrossShardLayouts(t *testing.T) {
 // like no store: the sweep runs cold and completes.
 func TestDirectEvalTypedNilStore(t *testing.T) {
 	var st *store.Store
-	r := &Runner{Eval: DirectEval(st, nil), Workers: 2}
+	r := &Runner{Eval: DirectEvalScratch(st, nil, nil), Workers: 2}
 	g := &Grid{
 		Name: "nilstore",
 		Axes: Axes{Game: []string{"doublewell"}, N: []int{4}, Beta: &Schedule{From: 1, To: 1, Steps: 1}},

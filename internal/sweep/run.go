@@ -76,7 +76,7 @@ func buildTable(s spec.Spec) (*game.TableGame, error) {
 		if err != nil {
 			return nil, err
 		}
-		return game.Materialize(g), nil
+		return game.MaterializePar(g, linalg.Serial), nil
 	})
 	if err != nil {
 		return nil, err
@@ -486,25 +486,21 @@ func evalSafely(ctx context.Context, eval Eval, j *Job) (out Outcome, err error)
 	return eval(ctx, j)
 }
 
-// DirectEval evaluates jobs against the store with no daemon in the loop:
-// a store hit is returned as-is (zero re-analysis), a miss runs
+// DirectEvalScratch evaluates jobs against the store with no daemon in the
+// loop: a store hit is returned as-is (zero re-analysis), a miss runs
 // core.AnalyzeGame on one pool token (borrowing idle tokens for
 // intra-analysis parallelism) and writes the report back. st is any
 // cluster.ReportStore — a plain store, a sharded ring, or a peer-backed
 // composition; the table bytes are identical whichever one holds the
 // entries. st and pool may each be nil (no persistence / unbounded by
 // tokens).
-func DirectEval(st cluster.ReportStore, pool TokenPool) Eval {
-	return DirectEvalScratch(st, pool, nil)
-}
-
-// DirectEvalScratch is DirectEval with a scratch-arena pool: each analyzed
-// point checks an arena out alongside its worker token and releases it when
-// the point completes, so consecutive same-shape points (a β-sweep over one
-// family) reuse the whole workspace — CSR arrays, potential table, Lanczos
-// basis — instead of reallocating it. A nil sp analyzes with fresh
-// allocations, exactly like DirectEval; results are bit-identical either
-// way.
+//
+// Each analyzed point checks a scratch arena out of sp alongside its worker
+// token and releases it when the point completes, so consecutive
+// same-shape points (a β-sweep over one family) reuse the whole workspace —
+// CSR arrays, potential table, Lanczos basis — instead of reallocating it.
+// A nil sp analyzes with fresh allocations; results are bit-identical
+// either way.
 func DirectEvalScratch(st cluster.ReportStore, pool TokenPool, sp *scratch.Pool) Eval {
 	pool = poolOrNil(pool)
 	// Same typed-nil trap as poolOrNil: a nil *store.Store threaded through

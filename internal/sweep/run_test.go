@@ -28,7 +28,7 @@ func testGrid() *Grid {
 
 func runAll(t *testing.T, st *store.Store, g *Grid) (*Result, RunStats) {
 	t.Helper()
-	r := &Runner{Eval: DirectEval(st, nil), Workers: 4}
+	r := &Runner{Eval: DirectEvalScratch(st, nil, nil), Workers: 4}
 	res, stats, err := r.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSweepResumeAfterKillIsDeterministic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
 	r := &Runner{
-		Eval:    DirectEval(st, nil),
+		Eval:    DirectEvalScratch(st, nil, nil),
 		Workers: 1,
 		OnRow: func(Row) {
 			if done.Add(1) == 5 {
@@ -157,7 +157,7 @@ func TestSweepDedupByCanonicalHash(t *testing.T) {
 	g.Base.Delta0 = 3
 	g.Base.Delta1 = 2
 	var evals atomic.Int64
-	inner := DirectEval(nil, nil)
+	inner := DirectEvalScratch(nil, nil, nil)
 	r := &Runner{
 		Eval: func(ctx context.Context, j *Job) (Outcome, error) {
 			evals.Add(1)
@@ -190,7 +190,7 @@ func TestSweepDedupByCanonicalHash(t *testing.T) {
 func TestSweepOnProgressStreamsStats(t *testing.T) {
 	var snaps []RunStats
 	r := &Runner{
-		Eval:       DirectEval(nil, nil),
+		Eval:       DirectEvalScratch(nil, nil, nil),
 		Workers:    1,
 		OnProgress: func(st RunStats) { snaps = append(snaps, st) },
 	}
@@ -249,7 +249,7 @@ func TestGeneralizedAxesDedupAndEpsKeys(t *testing.T) {
 		Base: spec.Spec{Game: "doublewell", N: 6, C: 2, Delta1: 1},
 	}
 	var evals atomic.Int64
-	inner := DirectEval(nil, nil)
+	inner := DirectEvalScratch(nil, nil, nil)
 	r := &Runner{
 		Eval: func(ctx context.Context, j *Job) (Outcome, error) {
 			evals.Add(1)
